@@ -471,112 +471,98 @@ int main(int argc, char** argv) {
   // --------------- scene 8: replicated serving under media corruption
   // The failure-domain story end to end: a 2-shard router with 2
   // bit-identical replicas per shard serving out of blocked files,
-  // with shard 0's replica 0 corrupted on disk before traffic. The
-  // same schedule runs twice — hedging off, then on — so the two
-  // "replica_traffic_percentiles" record sets are directly comparable
-  // (EXPERIMENTS.md tabulates the hedged-vs-unhedged p99). A warm-up
-  // sweep of direct point-to-point calls trips the corrupt replica's
-  // circuit breaker deterministically before the open loop starts, and
-  // a scrub pass afterwards repairs the file from its sibling; the
-  // counters land in "replica_summary" and CI's metrics smoke asserts
-  // both record kinds.
-  Table t8({"hedged", "tenant", "kind", "count", "ok", "p50 (us)", "p99 (us)", "p99.9 (us)"});
-  std::uint64_t scene8_failovers = 0;
-  {
+  // with shard 0's replica 0 corrupted on disk before traffic. A
+  // warm-up sweep of direct point-to-point calls trips the corrupt
+  // replica's circuit breaker deterministically before the open loop
+  // starts, and a scrub pass afterwards repairs the file from its
+  // sibling; the percentiles land in "replica_traffic_percentiles", the
+  // counters in "replica_summary", and CI's metrics smoke asserts both
+  // record kinds.
+  [&] {
     const auto el = graph::random_digraph<int>(n, 0.05, opt.seed + 8);
     const graph::AdjacencyArray<int> rep(el);
-    for (int hedged = 0; hedged <= 1; ++hedged) {
-      serving::Router<int>::Config rcfg;
-      rcfg.shards = 2;
-      rcfg.replicas = 2;
-      rcfg.cache_portals = false;  // probes must touch the blocked files
-      rcfg.hedge = hedged != 0;
-      rcfg.hedge_delay = std::chrono::microseconds(200);
-      serving::Router<int> router(rep, rcfg);
-      const auto dir = std::filesystem::temp_directory_path() /
-                       ("cachegraph_bench_replica_h" + std::to_string(hedged));
-      std::filesystem::remove_all(dir);
-      if (const auto st = router.enable_out_of_core(dir, 4096, 64); !st.is_ok()) {
-        std::cout << "\n(scene 8 skipped: " << st.to_string() << ")\n";
-        break;
-      }
-      for (const auto& t : router.scrub_targets()) {
-        if (t.path.string().find("/s0/r0/") == std::string::npos) continue;
-        std::fstream f(t.path, std::ios::binary | std::ios::in | std::ios::out);
-        for (std::uint32_t b = 0; b < t.num_blocks; ++b) {
-          const auto off = static_cast<std::streamoff>(t.data_offset +
-                                                       std::uint64_t{b} * t.block_bytes + 17);
-          f.seekg(off);
-          char c = 0;
-          f.read(&c, 1);
-          c = static_cast<char>(c ^ 0x5a);
-          f.seekp(off);
-          f.write(&c, 1);
-        }
-      }
-      // Deterministic quarantine before the open loop: a serial sweep
-      // hits the corrupt replica, fails over, and trips its breaker.
-      for (vertex_t v = 0; v < 32 && v < n; ++v) {
-        (void)router.point_to_point(0, (v * 7) % n);
-      }
-
-      serving::TrafficConfig<int> cfg;
-      cfg.seed = opt.seed + 8;
-      cfg.duration = std::chrono::milliseconds(opt.full ? 300 : 120);
-      cfg.tenants.push_back({.name = "latency",
-                             .rate_hz = 80.0,
-                             .zipf_skew = 1.1,
-                             .weight_p2p = 3.0,
-                             .weight_k_nearest = 1.0,
-                             .deadline = std::chrono::milliseconds(250)});
-      const auto schedule = serving::build_schedule(cfg, rep.num_vertices());
-      const auto report = serving::TrafficDriver<int>::run(router, cfg, schedule,
-                                                           std::max(2, hw));
-      for (const auto& row : report.rows) {
-        t8.add_row({hedged ? "on" : "off", row.tenant_name, serving::to_string(row.kind),
-                    fmt_count(row.count), fmt_count(row.ok),
-                    fmt(static_cast<double>(row.p50_ns) / 1e3, 1),
-                    fmt(static_cast<double>(row.p99_ns) / 1e3, 1),
-                    fmt(static_cast<double>(row.p999_ns) / 1e3, 1)});
-        h.note("replica_traffic_percentiles",
-               {{"hedged", std::to_string(hedged)},
-                {"tenant", row.tenant_name},
-                {"kind", serving::to_string(row.kind)},
-                {"count", std::to_string(row.count)},
-                {"ok", std::to_string(row.ok)},
-                {"overloaded", std::to_string(row.overloaded)},
-                {"p50_ns", std::to_string(row.p50_ns)},
-                {"p99_ns", std::to_string(row.p99_ns)},
-                {"p999_ns", std::to_string(row.p999_ns)}});
-      }
-      // Repair the corrupted replica from its sibling and export the
-      // full failure-domain counter set for this run.
-      serving::BlockScrubber scrubber;
-      for (auto t : router.scrub_targets()) scrubber.add_target(std::move(t));
-      scrubber.scrub_all();
-      const auto ss = scrubber.stats();
-      const auto rs = router.stats();
-      scene8_failovers += rs.failovers;
-      h.note("replica_summary", {{"hedged", std::to_string(hedged)},
-                                 {"requests", std::to_string(report.total_requests)},
-                                 {"ok", std::to_string(report.total_ok)},
-                                 {"failovers", std::to_string(rs.failovers)},
-                                 {"hedges", std::to_string(rs.hedges)},
-                                 {"hedge_wins", std::to_string(rs.hedge_wins)},
-                                 {"unavailable", std::to_string(rs.unavailable)},
-                                 {"quarantines", std::to_string(rs.quarantines)},
-                                 {"recoveries", std::to_string(rs.recoveries)},
-                                 {"scrub_scanned", std::to_string(ss.scanned)},
-                                 {"scrub_corrupt", std::to_string(ss.corrupt)},
-                                 {"scrub_repaired", std::to_string(ss.repaired)},
-                                 {"scrub_repair_failed", std::to_string(ss.repair_failed)}});
-      std::filesystem::remove_all(dir);
+    serving::Router<int>::Config rcfg;
+    rcfg.shards = 2;
+    rcfg.replicas = 2;
+    rcfg.cache_portals = false;  // probes must touch the blocked files
+    serving::Router<int> router(rep, rcfg);
+    const auto dir = std::filesystem::temp_directory_path() / "cachegraph_bench_replica";
+    std::filesystem::remove_all(dir);
+    if (const auto st = router.enable_out_of_core(dir, 4096, 64); !st.is_ok()) {
+      std::cout << "\n(scene 8 skipped: " << st.to_string() << ")\n";
+      return;
     }
-    std::cout << "\n-- replicated serving: corrupt replica, hedged off/on --\n";
+    for (const auto& t : router.scrub_targets()) {
+      if (t.path.string().find("/s0/r0/") == std::string::npos) continue;
+      std::fstream f(t.path, std::ios::binary | std::ios::in | std::ios::out);
+      for (std::uint32_t b = 0; b < t.num_blocks; ++b) {
+        const auto off = static_cast<std::streamoff>(t.data_offset +
+                                                     std::uint64_t{b} * t.block_bytes + 17);
+        f.seekg(off);
+        char c = 0;
+        f.read(&c, 1);
+        c = static_cast<char>(c ^ 0x5a);
+        f.seekp(off);
+        f.write(&c, 1);
+      }
+    }
+    // Deterministic quarantine before the open loop: a serial sweep
+    // hits the corrupt replica, fails over, and trips its breaker.
+    for (vertex_t v = 0; v < 32 && v < n; ++v) {
+      (void)router.point_to_point(0, (v * 7) % n);
+    }
+
+    serving::TrafficConfig<int> cfg;
+    cfg.seed = opt.seed + 8;
+    cfg.duration = std::chrono::milliseconds(opt.full ? 300 : 120);
+    cfg.tenants.push_back({.name = "latency",
+                           .rate_hz = 80.0,
+                           .zipf_skew = 1.1,
+                           .weight_p2p = 3.0,
+                           .weight_k_nearest = 1.0,
+                           .deadline = std::chrono::milliseconds(250)});
+    const auto schedule = serving::build_schedule(cfg, rep.num_vertices());
+    const auto report =
+        serving::TrafficDriver<int>::run(router, cfg, schedule, std::max(2, hw));
+    Table t8({"tenant", "kind", "count", "ok", "p50 (us)", "p99 (us)", "p99.9 (us)"});
+    for (const auto& row : report.rows) {
+      t8.add_row({row.tenant_name, serving::to_string(row.kind), fmt_count(row.count),
+                  fmt_count(row.ok), fmt(static_cast<double>(row.p50_ns) / 1e3, 1),
+                  fmt(static_cast<double>(row.p99_ns) / 1e3, 1),
+                  fmt(static_cast<double>(row.p999_ns) / 1e3, 1)});
+      h.note("replica_traffic_percentiles",
+             {{"tenant", row.tenant_name},
+              {"kind", serving::to_string(row.kind)},
+              {"count", std::to_string(row.count)},
+              {"ok", std::to_string(row.ok)},
+              {"overloaded", std::to_string(row.overloaded)},
+              {"p50_ns", std::to_string(row.p50_ns)},
+              {"p99_ns", std::to_string(row.p99_ns)},
+              {"p999_ns", std::to_string(row.p999_ns)}});
+    }
+    // Repair the corrupted replica from its sibling and export the
+    // full failure-domain counter set.
+    serving::BlockScrubber scrubber;
+    for (auto t : router.scrub_targets()) scrubber.add_target(std::move(t));
+    scrubber.scrub_all();
+    const auto ss = scrubber.stats();
+    const auto rs = router.stats();
+    h.note("replica_summary", {{"requests", std::to_string(report.total_requests)},
+                               {"ok", std::to_string(report.total_ok)},
+                               {"failovers", std::to_string(rs.failovers)},
+                               {"unavailable", std::to_string(rs.unavailable)},
+                               {"quarantines", std::to_string(rs.quarantines)},
+                               {"recoveries", std::to_string(rs.recoveries)},
+                               {"scrub_scanned", std::to_string(ss.scanned)},
+                               {"scrub_corrupt", std::to_string(ss.corrupt)},
+                               {"scrub_repaired", std::to_string(ss.repaired)},
+                               {"scrub_repair_failed", std::to_string(ss.repair_failed)}});
+    std::filesystem::remove_all(dir);
+    std::cout << "\n-- replicated serving: corrupt replica --\n";
     t8.print(std::cout, opt.csv);
-    std::cout << "(replica 0 of shard 0 corrupt on disk; " << scene8_failovers
-              << " failovers across both runs; scrubber repaired the file from its sibling)\n";
-  }
+    std::cout << "(replica 0 of shard 0 corrupt on disk; " << rs.failovers
+              << " failovers; scrubber repaired the file from its sibling)\n";
+  }();
 
   std::cout << "\n(host reports " << hw << " hardware thread(s); n=" << n << ", batch="
             << batch << ")\n";

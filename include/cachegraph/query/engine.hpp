@@ -25,25 +25,28 @@
 // `pool.num_threads()` scratches are ever allocated (fewer when
 // set_scratch_capacity caps the pool).
 //
-// Two serving surfaces:
+// One request path per surface:
 //
-//   Legacy (run / serve / distance / …) — throwing validation
-//   (CG_CHECK), infallible scratch, no time bounds. Unchanged.
-//
-//   Hardened (try_serve / try_run) — every request resolves to a
-//   Response carrying a reliability::Status from the closed code set;
-//   nothing escapes as an exception. ServeOptions adds a cooperative
-//   cancel token, an absolute deadline, and the poll cadence; the
-//   engine gives each batched request its own CancelToken parented on
-//   the batch token so admission shedding can kill one victim while a
+//   try_serve / try_run — every request resolves to a Response
+//   carrying a reliability::Status from the closed code set; nothing
+//   escapes as an exception. ServeOptions adds a cooperative cancel
+//   token, an absolute deadline, and the poll cadence; the engine
+//   gives each batched request its own CancelToken parented on the
+//   batch token so admission shedding can kill one victim while a
 //   batch cancel kills everything. Admission control (set_admission)
-//   bounds in-flight requests with a pluggable overload policy:
-//   kBlock (the submitting thread helps the pool until a slot frees),
-//   kReject (resolve OVERLOADED immediately), kShed (cancel the
-//   oldest in-flight victim — newest wins). Transient scratch-pool
-//   exhaustion is retried with exponential backoff (reliability/
-//   retry.hpp) bounded by the request deadline before it surfaces as
-//   RESOURCE_EXHAUSTED.
+//   bounds each try_run batch through one AdmissionGate
+//   (admission.hpp); its kBlock wait step helps the pool until a slot
+//   frees. Transient scratch-pool exhaustion is retried with
+//   exponential backoff (reliability/retry.hpp) bounded by the request
+//   deadline before it surfaces as RESOURCE_EXHAUSTED.
+//
+//   serve / run (and the distance / k_nearest / within / full helpers)
+//   are thin throwing wrappers over the same paths: PreconditionError
+//   on an invalid request before anything runs; sinks see only
+//   answered requests; a failure rethrows the first exception a
+//   request raised (so DATA_LOSS reaches the caller as the
+//   DataLossError itself) or else throws std::runtime_error. run
+//   admits without a cap.
 //
 // Status contract for sinks: a terminated search (CANCELLED /
 // DEADLINE_EXCEEDED) still hands the sink the real scratch — every
@@ -86,10 +89,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -111,6 +116,7 @@
 #include "cachegraph/obs/trace.hpp"
 #include "cachegraph/parallel/lease_pool.hpp"
 #include "cachegraph/parallel/task_pool.hpp"
+#include "cachegraph/query/admission.hpp"
 #include "cachegraph/query/request.hpp"
 #include "cachegraph/query/search_core.hpp"
 #include "cachegraph/reliability/cancel.hpp"
@@ -128,37 +134,6 @@ static_assert(kind_index_of(Request<std::int32_t>{BfsFromSet{}}) == obs::kKindBf
 static_assert(kind_index_of(Request<std::int32_t>{TriangleCount{}}) == obs::kKindTriangleCount);
 static_assert(kind_index_of(Request<std::int32_t>{MultiTarget{}}) == obs::kKindMultiTarget);
 static_assert(!is_analytics(Request<std::int32_t>{MultiTarget{}}));
-
-/// What to do with a request that arrives while max_in_flight requests
-/// are already running.
-enum class OverloadPolicy {
-  kBlock,   ///< submitting thread helps drain the pool until a slot frees
-  kReject,  ///< resolve OVERLOADED immediately — fail fast, caller retries
-  kShed,    ///< cancel the oldest in-flight request to make room (newest wins)
-};
-
-[[nodiscard]] constexpr const char* to_string(OverloadPolicy p) noexcept {
-  switch (p) {
-    case OverloadPolicy::kBlock: return "block";
-    case OverloadPolicy::kReject: return "reject";
-    case OverloadPolicy::kShed: return "shed";
-  }
-  return "?";
-}
-
-/// Deadline-aware kBlock: true once `now` has passed the halfway point
-/// between `enter` (when blocking began) and the request's deadline.
-/// Past that point less than half the budget remains for the search
-/// itself, so continuing to queue is throwing good time after bad —
-/// the request sheds to OVERLOADED while the caller can still retry
-/// elsewhere, instead of limping to a near-certain DEADLINE_EXCEEDED.
-/// An unarmed deadline never exhausts (legacy unbounded blocking).
-[[nodiscard]] inline bool block_budget_exhausted(
-    std::chrono::steady_clock::time_point enter, const reliability::Deadline& deadline,
-    std::chrono::steady_clock::time_point now) noexcept {
-  if (!deadline.armed()) return false;
-  return now - enter >= (deadline.when() - enter) / 2;
-}
 
 template <graph::GraphRep G, class Queue = IndexedQueue<typename G::weight_type>>
 class QueryEngine {
@@ -188,13 +163,12 @@ class QueryEngine {
     vertex_t check_every = kDefaultCheckEvery;         ///< poll cadence in settled vertices
   };
 
-  /// Admission control: 0 = unbounded (the default — legacy behavior).
-  struct Admission {
-    std::size_t max_in_flight = 0;
-    OverloadPolicy policy = OverloadPolicy::kBlock;
-  };
+  /// Admission control for try_run: 0 = unbounded (the default).
+  using Admission = AdmissionConfig;
 
-  /// Engine-lifetime tallies (atomic; readable any time).
+  /// Engine-lifetime tallies (atomic; readable any time). The
+  /// admission ones are folded in from each batch's gate as the batch
+  /// ends.
   struct Stats {
     std::uint64_t requests = 0;
     std::uint64_t settled = 0;
@@ -240,13 +214,11 @@ class QueryEngine {
 
   /// Caps the scratch pool (0 = unbounded). With a cap below the
   /// worker count, excess concurrent requests see transient
-  /// RESOURCE_EXHAUSTED — the hardened surface retries with backoff,
-  /// acquire() in the legacy surface would trip CG_CHECK.
+  /// RESOURCE_EXHAUSTED after the lease retries with backoff.
   void set_scratch_capacity(std::size_t cap) noexcept { scratch_pool_.set_capacity(cap); }
 
-  /// Backoff schedule for transient scratch-lease failures on the
-  /// hardened surface (the per-request deadline overrides the
-  /// policy's own).
+  /// Backoff schedule for transient scratch-lease failures (the
+  /// per-request deadline overrides the policy's own).
   void set_lease_backoff(reliability::BackoffPolicy p) noexcept { lease_backoff_ = p; }
 
   /// LLC budget driving the analytics propagation-blocking bin layout
@@ -265,206 +237,25 @@ class QueryEngine {
 
   // ------------------------------------------------------ batch serving
 
-  /// Runs every request as a TaskPool task; `sink(index, request,
-  /// response, scratch)` fires on the worker that finished it. The
-  /// scratch reference (dist/parent/touched/settled_order for the
-  /// request's explored region) is only valid inside the sink call.
-  template <typename Sink>
-  void run(std::span<const Request<W>> requests, parallel::TaskPool& pool, Sink&& sink) {
-    CG_TRACE_SPAN("query.run");
-    for (const auto& req : requests) validate(req);
-    std::vector<tel_clock::time_point> t_submit;
-    if constexpr (obs::kTelemetryEnabled) t_submit.resize(requests.size());
-    {
-      parallel::TaskGroup group(pool);
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        const Request<W>& req = requests[i];
-        if constexpr (obs::kTelemetryEnabled) t_submit[i] = tel_clock::now();
-        group.run([this, i, &req, &sink, &t_submit, &pool] {
-          tel_clock::time_point t_start{}, e0{}, e1{};
-          if constexpr (obs::kTelemetryEnabled) t_start = tel_clock::now();
-          const auto lease =
-              scratch_pool_.acquire([this] { return std::make_unique<Scratch>(n_); });
-          Scratch& sc = lease.get();
-          if constexpr (obs::kTelemetryEnabled) e0 = tel_clock::now();
-          const Response resp = execute(req, sc, ServeOptions{}, &pool);
-          if constexpr (obs::kTelemetryEnabled) {
-            e1 = tel_clock::now();
-            // No admission gate on the legacy surface: submit == admit,
-            // so the record's admission wait is zero by construction.
-            finish_telemetry(req, resp, &sc, ServeOptions{}, /*aborted=*/false, t_submit[i],
-                             t_submit[i], t_start, e0, e1);
-          }
-          sink(i, req, resp, static_cast<const Scratch&>(sc));
-        });
-      }
-      group.wait();
-    }
-    requests_.fetch_add(requests.size(), std::memory_order_relaxed);
-    CG_COUNTER_INC("query.runs");
-    pool.flush_counters();
-    if constexpr (obs::kTelemetryEnabled) sample_gauges(pool);
-  }
-
-  /// Materialized overload: just the per-request summaries (the sink
-  /// form is the zero-copy path for payload-carrying answers).
-  [[nodiscard]] std::vector<Response> run(std::span<const Request<W>> requests,
-                                          parallel::TaskPool& pool) {
-    std::vector<Response> out(requests.size());
-    run(requests, pool,
-        [&out](std::size_t i, const Request<W>&, const Response& r, const Scratch&) {
-          out[i] = r;
-        });
-    return out;
-  }
-
-  // -------------------------------------------- hardened batch serving
-
   /// The non-throwing batch: every request resolves with a definite
   /// status exactly once, whatever happens — validation failure,
   /// deadline, cancellation, admission reject/shed, scratch
   /// exhaustion, or a task that throws (resolved CANCELLED "task
-  /// aborted"). The only exception that can escape is one thrown by
-  /// `sink` itself; even then the group is drained first (no leaked
-  /// tasks) and the affected request is re-delivered once with a
-  /// CANCELLED status through a swallow-all sink call.
+  /// aborted"). `sink(index, request, response, scratch)` fires on the
+  /// worker that finished the request; the scratch reference
+  /// (dist/parent/touched/settled_order for the explored region) is
+  /// only valid inside the sink call. An exception a sink throws inside
+  /// a task is swallowed once the group has drained (no leaked tasks),
+  /// and the affected request is re-delivered once with a CANCELLED
+  /// status through a swallow-all sink call.
   template <typename Sink>
   void try_run(std::span<const Request<W>> requests, parallel::TaskPool& pool,
                const ServeOptions& opts, Sink&& sink) {
-    CG_TRACE_SPAN("query.run");
-    const std::size_t m = requests.size();
-    // Stable-address per-request tokens, each parented on the batch
-    // token: shed cancels one, the caller's token cancels all.
-    std::vector<std::unique_ptr<reliability::CancelToken>> tokens;
-    tokens.reserve(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      tokens.push_back(std::make_unique<reliability::CancelToken>(opts.cancel));
-    }
-    std::vector<char> resolved(m, 0);  // distinct-index writes; read after wait()
-    std::mutex active_mu;
-    std::vector<std::size_t> active;  // admission order — front is the shed victim
-    std::atomic<std::size_t> in_flight{0};
-    const Admission adm = admission_;
-
-    std::vector<Response> pre(m);  // submitting-thread resolutions
-    std::vector<tel_clock::time_point> t_submit, t_admit;
-    if constexpr (obs::kTelemetryEnabled) {
-      t_submit.resize(m);
-      t_admit.resize(m);
-    }
-    {
-      parallel::TaskGroup group(pool);
-      for (std::size_t i = 0; i < m; ++i) {
-        const Request<W>& req = requests[i];
-        if constexpr (obs::kTelemetryEnabled) t_submit[i] = tel_clock::now();
-        Response early;
-        early.status = preflight(req, opts, adm, pool, in_flight, active, active_mu, tokens);
-        if (!early.status.is_ok()) {
-          resolved[i] = 1;
-          pre[i] = early;
-          if constexpr (obs::kTelemetryEnabled) {
-            // Never ran: the whole life was spent (blocked) in
-            // preflight, which finish_telemetry books as admission wait.
-            finish_telemetry(req, early, nullptr, opts, /*aborted=*/false, t_submit[i], {}, {},
-                             {}, {});
-          }
-          sink(i, req, static_cast<const Response&>(pre[i]), empty_);
-          continue;
-        }
-        const std::size_t now_in_flight = in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
-        if constexpr (obs::kTelemetryEnabled) {
-          t_admit[i] = tel_clock::now();
-          static obs::Gauge& g_in_flight = obs::MetricsRegistry::instance().gauge("query.in_flight");
-          g_in_flight.set(static_cast<double>(now_in_flight));
-        } else {
-          (void)now_in_flight;
-        }
-        {
-          const std::lock_guard<std::mutex> lock(active_mu);
-          active.push_back(i);
-        }
-        group.run([this, i, &req, &sink, &opts, &tokens, &resolved, &active, &active_mu,
-                   &in_flight, &t_submit, &t_admit, &pool] {
-          Response resp;
-          bool scratch_valid = false;
-          bool aborted = false;
-          tel_clock::time_point t_start{}, e0{}, e1{};
-          if constexpr (obs::kTelemetryEnabled) t_start = tel_clock::now();
-          reliability::Status lease_status;
-          auto lease = acquire_scratch(opts.deadline, lease_status);
-          if (!lease) {
-            resp.status = lease_status;
-          } else {
-            ServeOptions per = opts;
-            per.cancel = tokens[i].get();
-            if constexpr (obs::kTelemetryEnabled) e0 = tel_clock::now();
-            try {
-              resp = execute(req, lease->get(), per, &pool);
-              scratch_valid = true;
-            } catch (const reliability::DataLossError& e) {
-              // An out-of-core graph hit a corrupt/unreadable block
-              // mid-scan: the stored data is damaged, not the request.
-              resp = Response{};
-              resp.status = reliability::data_loss(e.what());
-              CG_COUNTER_INC("reliability.requests.data_loss");
-            } catch (const std::exception& e) {
-              resp = Response{};
-              resp.status = reliability::cancelled(std::string("task aborted: ") + e.what());
-              note_abort();
-              aborted = true;
-            } catch (...) {
-              resp = Response{};
-              resp.status = reliability::cancelled("task aborted: unknown exception");
-              note_abort();
-              aborted = true;
-            }
-            if constexpr (obs::kTelemetryEnabled) e1 = tel_clock::now();
-          }
-          if constexpr (obs::kTelemetryEnabled) {
-            finish_telemetry(req, resp, scratch_valid ? &lease->get() : nullptr, opts, aborted,
-                             t_submit[i], t_admit[i], t_start, e0, e1);
-          } else {
-            (void)aborted;
-          }
-          // Bookkeeping before the sink: a throwing sink must not
-          // leak its admission slot or its shed-victim entry.
-          {
-            const std::lock_guard<std::mutex> lock(active_mu);
-            active.erase(std::find(active.begin(), active.end(), i));
-          }
-          in_flight.fetch_sub(1, std::memory_order_release);
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          sink(i, req, static_cast<const Response&>(resp),
-               scratch_valid ? static_cast<const Scratch&>(lease->get()) : empty_);
-          resolved[i] = 1;
-        });
-      }
-      try {
-        group.wait();
-      } catch (...) {
-        // A sink threw. The group is already drained (wait rethrows
-        // only after pending hits zero), so only re-delivery remains.
-        note_abort();
-      }
-    }
-    // Definite-status backfill: anything unresolved (a sink that threw
-    // mid-delivery) gets exactly one more delivery, swallow-all.
-    for (std::size_t i = 0; i < m; ++i) {
-      if (resolved[i]) continue;
-      Response resp;
-      resp.status = reliability::cancelled("task aborted: sink threw during delivery");
-      try {
-        sink(i, requests[i], static_cast<const Response&>(resp), empty_);
-      } catch (...) {  // NOLINT(bugprone-empty-catch) — backfill is best-effort
-      }
-    }
-    CG_COUNTER_INC("query.runs");
-    pool.flush_counters();
-    if constexpr (obs::kTelemetryEnabled) sample_gauges(pool);
+    run_batch(requests, pool, opts, admission_, sink, nullptr);
   }
 
-  /// Materialized hardened batch: one definite-status Response per
-  /// request, index-aligned.
+  /// Materialized form: one definite-status Response per request,
+  /// index-aligned.
   [[nodiscard]] std::vector<Response> try_run(std::span<const Request<W>> requests,
                                               parallel::TaskPool& pool,
                                               const ServeOptions& opts = {}) {
@@ -476,7 +267,73 @@ class QueryEngine {
     return out;
   }
 
+  /// The throwing form of try_run, without an admission cap: every
+  /// request is validated before any runs (PreconditionError), only
+  /// answered requests reach the sink, and once the batch has drained
+  /// the first failure is rethrown (see the header comment).
+  template <typename Sink>
+  void run(std::span<const Request<W>> requests, parallel::TaskPool& pool, Sink&& sink) {
+    for (const auto& req : requests) validate(req);
+    FirstFailure failure;
+    run_batch(
+        requests, pool, ServeOptions{}, Admission{},
+        [&](std::size_t i, const Request<W>& req, const Response& r, const Scratch& sc) {
+          if (r.status.is_ok()) {
+            sink(i, req, r, sc);
+          } else {
+            failure.note(r.status);
+          }
+        },
+        &failure);
+    failure.rethrow();
+  }
+
+  /// Materialized form: just the per-request summaries (the sink form
+  /// is the zero-copy path for payload-carrying answers).
+  [[nodiscard]] std::vector<Response> run(std::span<const Request<W>> requests,
+                                          parallel::TaskPool& pool) {
+    std::vector<Response> out(requests.size());
+    run(requests, pool,
+        [&out](std::size_t i, const Request<W>&, const Response& r, const Scratch&) {
+          out[i] = r;
+        });
+    return out;
+  }
+
   // ------------------------------------- serial helpers (caller thread)
+
+  /// The non-throwing single request: always returns a Response with a
+  /// definite status; `fn(response, scratch)` fires exactly once (with
+  /// the empty scratch when no search ran — see the status contract in
+  /// the header comment) before the scratch is returned to the lease
+  /// pool. Thread-safe, no admission control (admission bounds
+  /// batches; a serial caller is its own backpressure).
+  template <typename Fn>
+  Response try_serve(const Request<W>& req, const ServeOptions& opts, Fn&& fn) {
+    return serve_one(req, opts, fn, nullptr);
+  }
+
+  Response try_serve(const Request<W>& req, const ServeOptions& opts = {}) {
+    return try_serve(req, opts, [](const Response&, const Scratch&) {});
+  }
+
+  /// The throwing form of try_serve: PreconditionError on an invalid
+  /// request, `fn` sees only an answered request, and a failure is
+  /// rethrown (see the header comment). Thread-safe.
+  template <typename Fn>
+  void serve(const Request<W>& req, Fn&& fn) {
+    validate(req);
+    FirstFailure failure;
+    const auto only_answers = [&](const Response& r, const Scratch& sc) {
+      if (r.status.is_ok()) {
+        fn(r, sc);
+      } else {
+        failure.note(r.status);
+      }
+    };
+    serve_one(req, {}, only_answers, &failure);
+    failure.rethrow();
+  }
 
   /// Exact shortest distance source→target (inf when unreachable).
   [[nodiscard]] W distance(vertex_t source, vertex_t target) {
@@ -495,26 +352,12 @@ class QueryEngine {
   /// The (up to) k nearest vertices, nearest first (source included,
   /// distance 0). Fewer than k when the component is smaller.
   [[nodiscard]] std::vector<NearItem> k_nearest(vertex_t source, vertex_t k) {
-    std::vector<NearItem> out;
-    serve(Request<W>{KNearest{source, k}}, [&](const Response&, const Scratch& sc) {
-      out.reserve(sc.settled_order().size());
-      for (const vertex_t v : sc.settled_order()) {
-        out.push_back(NearItem{v, sc.dist()[static_cast<std::size_t>(v)]});
-      }
-    });
-    return out;
+    return near_items(Request<W>{KNearest{source, k}});
   }
 
   /// Every vertex within `radius` of source (inclusive), nearest first.
   [[nodiscard]] std::vector<NearItem> within(vertex_t source, W radius) {
-    std::vector<NearItem> out;
-    serve(Request<W>{Bounded<W>{source, radius}}, [&](const Response&, const Scratch& sc) {
-      out.reserve(sc.settled_order().size());
-      for (const vertex_t v : sc.settled_order()) {
-        out.push_back(NearItem{v, sc.dist()[static_cast<std::size_t>(v)]});
-      }
-    });
-    return out;
+    return near_items(Request<W>{Bounded<W>{source, radius}});
   }
 
   struct Tree {
@@ -532,30 +375,36 @@ class QueryEngine {
     return out;
   }
 
-  /// One request on the calling thread; `fn(response, scratch)` runs
-  /// before the scratch is returned to the lease pool. Thread-safe.
-  template <typename Fn>
-  void serve(const Request<W>& req, Fn&& fn) {
-    validate(req);
-    const auto lease = scratch_pool_.acquire([this] { return std::make_unique<Scratch>(n_); });
-    Scratch& sc = lease.get();
-    const Response resp = execute(req, sc);
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    fn(static_cast<const Response&>(resp), static_cast<const Scratch&>(sc));
-  }
+ private:
+  /// What the throwing surfaces rethrow: the first exception a request
+  /// raised (from execute or from a sink), else the first non-OK
+  /// status as a std::runtime_error. A DataLossError therefore reaches
+  /// serve's caller as itself (Router::fetch_tree maps it to DATA_LOSS).
+  struct FirstFailure {
+    std::mutex mu;
+    std::exception_ptr cause;
+    reliability::Status status;
 
-  /// The non-throwing single request: always returns a Response with a
-  /// definite status; `fn(response, scratch)` fires exactly once (with
-  /// the empty scratch when no search ran — see the status contract in
-  /// the header comment). Thread-safe, no admission control (admission
-  /// bounds batches; a serial caller is its own backpressure).
+    void note(const reliability::Status& st) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (status.is_ok()) status = st;
+    }
+    void note_exception() {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!cause) cause = std::current_exception();
+    }
+    void rethrow() const {
+      if (cause) std::rethrow_exception(cause);
+      if (!status.is_ok()) throw std::runtime_error(status.to_string());
+    }
+  };
+
+  /// The one single-request path under serve and try_serve.
   template <typename Fn>
-  Response try_serve(const Request<W>& req, const ServeOptions& opts, Fn&& fn) {
+  Response serve_one(const Request<W>& req, const ServeOptions& opts, Fn& fn,
+                     FirstFailure* failure) {
     tel_clock::time_point t_submit{}, e0{}, e1{};
     if constexpr (obs::kTelemetryEnabled) t_submit = tel_clock::now();
-    bool aborted = false;
-    bool data_lost = false;
-    bool searched = false;
     Response resp;
     resp.status = validate_status(req);
     if (!resp.status.is_ok()) {
@@ -578,6 +427,7 @@ class QueryEngine {
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
     if constexpr (obs::kTelemetryEnabled) e0 = tel_clock::now();
+    bool searched = false;
     try {
       resp = execute(req, lease->get(), opts);
       searched = true;
@@ -589,88 +439,189 @@ class QueryEngine {
                          e0, e1);
       }
       fn(static_cast<const Response&>(resp), static_cast<const Scratch&>(lease->get()));
-    } catch (const reliability::DataLossError& e) {
-      // Same mapping as the parallel surface: corrupt block → DATA_LOSS.
-      resp = Response{};
-      resp.status = reliability::data_loss(e.what());
-      CG_COUNTER_INC("reliability.requests.data_loss");
-      data_lost = true;
-      fn(static_cast<const Response&>(resp), empty_);
-    } catch (const std::exception& e) {
-      resp = Response{};
-      resp.status = reliability::cancelled(std::string("task aborted: ") + e.what());
-      note_abort();
-      aborted = true;
-      fn(static_cast<const Response&>(resp), empty_);
     } catch (...) {
       resp = Response{};
-      resp.status = reliability::cancelled("task aborted: unknown exception");
-      note_abort();
-      aborted = true;
-      fn(static_cast<const Response&>(resp), empty_);
-    }
-    if constexpr (obs::kTelemetryEnabled) {
-      if ((aborted || data_lost) && !searched) {
+      resp.status = exception_status(failure);
+      if constexpr (obs::kTelemetryEnabled) {
         // execute() itself threw (the search never resolved); the
         // success path above already recorded resolved requests.
-        if (e1 == tel_clock::time_point{}) e1 = tel_clock::now();
-        finish_telemetry(req, resp, nullptr, opts, aborted, t_submit, t_submit, t_submit, e0,
-                         e1);
+        if (!searched) {
+          finish_telemetry(req, resp, nullptr, opts,
+                           resp.status.code() == reliability::StatusCode::kCancelled, t_submit,
+                           t_submit, t_submit, e0, tel_clock::now());
+        }
+      } else {
+        (void)searched;
       }
-    } else {
-      (void)aborted;
-      (void)data_lost;
-      (void)searched;
+      fn(static_cast<const Response&>(resp), empty_);
     }
     return resp;
   }
 
-  Response try_serve(const Request<W>& req, const ServeOptions& opts = {}) {
-    return try_serve(req, opts, [](const Response&, const Scratch&) {});
+  /// The one batch loop under run and try_run (see try_run); `adm`
+  /// bounds the batch through one AdmissionGate.
+  template <typename Sink>
+  void run_batch(std::span<const Request<W>> requests, parallel::TaskPool& pool,
+                 const ServeOptions& opts, const Admission& adm, Sink&& sink,
+                 FirstFailure* failure) {
+    CG_TRACE_SPAN("query.run");
+    const std::size_t m = requests.size();
+    // Stable-address per-request tokens, each parented on the batch
+    // token: shed cancels one, the caller's token cancels all.
+    std::vector<std::unique_ptr<reliability::CancelToken>> tokens;
+    tokens.reserve(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      tokens.push_back(std::make_unique<reliability::CancelToken>(opts.cancel));
+    }
+    std::vector<char> resolved(m, 0);  // distinct-index writes; read after wait()
+    AdmissionGate gate(adm);
+    // kBlock helps drain the pool rather than spin — on a 1-thread
+    // pool this is the only way a slot ever frees.
+    const auto help_pool = [&pool] {
+      if (!pool.help_one()) std::this_thread::yield();
+    };
+
+    std::vector<tel_clock::time_point> t_submit, t_admit;
+    if constexpr (obs::kTelemetryEnabled) {
+      t_submit.resize(m);
+      t_admit.resize(m);
+    }
+    {
+      parallel::TaskGroup group(pool);
+      for (std::size_t i = 0; i < m; ++i) {
+        const Request<W>& req = requests[i];
+        if constexpr (obs::kTelemetryEnabled) t_submit[i] = tel_clock::now();
+        Response early;
+        early.status = preflight(req, opts);
+        if (early.status.is_ok()) {
+          early.status = gate.enter(*tokens[i], opts.cancel, opts.deadline, help_pool);
+        }
+        if (!early.status.is_ok()) {
+          resolved[i] = 1;
+          if constexpr (obs::kTelemetryEnabled) {
+            // Never ran: the whole life was spent (blocked) in
+            // admission, which finish_telemetry books as admission wait.
+            finish_telemetry(req, early, nullptr, opts, /*aborted=*/false, t_submit[i], {}, {},
+                             {}, {});
+          }
+          sink(i, req, static_cast<const Response&>(early), empty_);
+          continue;
+        }
+        if constexpr (obs::kTelemetryEnabled) {
+          t_admit[i] = tel_clock::now();
+          static obs::Gauge& g_in_flight = obs::MetricsRegistry::instance().gauge("query.in_flight");
+          g_in_flight.set(static_cast<double>(gate.in_flight()));
+        }
+        group.run([this, i, &req, &sink, &opts, &tokens, &resolved, &gate, &t_submit, &t_admit,
+                   &pool, failure] {
+          Response resp;
+          bool scratch_valid = false;
+          tel_clock::time_point t_start{}, e0{}, e1{};
+          if constexpr (obs::kTelemetryEnabled) t_start = tel_clock::now();
+          reliability::Status lease_status;
+          auto lease = acquire_scratch(opts.deadline, lease_status);
+          if (!lease) {
+            resp.status = lease_status;
+          } else {
+            ServeOptions per = opts;
+            per.cancel = tokens[i].get();
+            if constexpr (obs::kTelemetryEnabled) e0 = tel_clock::now();
+            try {
+              resp = execute(req, lease->get(), per, &pool);
+              scratch_valid = true;
+            } catch (...) {
+              resp = Response{};
+              resp.status = exception_status(failure);
+            }
+            if constexpr (obs::kTelemetryEnabled) e1 = tel_clock::now();
+          }
+          if constexpr (obs::kTelemetryEnabled) {
+            const bool aborted =
+                !scratch_valid && lease && resp.status.code() == reliability::StatusCode::kCancelled;
+            finish_telemetry(req, resp, scratch_valid ? &lease->get() : nullptr, opts, aborted,
+                             t_submit[i], t_admit[i], t_start, e0, e1);
+          }
+          // Bookkeeping before the sink: a throwing sink must not
+          // leak its admission slot or its shed-victim entry.
+          gate.leave(*tokens[i]);
+          requests_.fetch_add(1, std::memory_order_relaxed);
+          sink(i, req, static_cast<const Response&>(resp),
+               scratch_valid ? static_cast<const Scratch&>(lease->get()) : empty_);
+          resolved[i] = 1;
+        });
+      }
+      try {
+        group.wait();
+      } catch (...) {
+        // A sink threw. The group is already drained (wait rethrows
+        // only after pending hits zero), so only re-delivery remains.
+        note_abort();
+        if (failure != nullptr) failure->note_exception();
+      }
+    }
+    // Definite-status backfill: anything unresolved (a sink that threw
+    // mid-delivery) gets exactly one more delivery, swallow-all.
+    for (std::size_t i = 0; i < m; ++i) {
+      if (resolved[i]) continue;
+      Response resp;
+      resp.status = reliability::cancelled("task aborted: sink threw during delivery");
+      try {
+        sink(i, requests[i], static_cast<const Response&>(resp), empty_);
+      } catch (...) {  // NOLINT(bugprone-empty-catch) — backfill is best-effort
+      }
+    }
+    const auto gs = gate.stats();
+    blocked_.fetch_add(gs.blocked, std::memory_order_relaxed);
+    rejected_.fetch_add(gs.rejected, std::memory_order_relaxed);
+    shed_.fetch_add(gs.shed, std::memory_order_relaxed);
+    deadline_rejects_.fetch_add(gs.deadline_rejects, std::memory_order_relaxed);
+    CG_COUNTER_INC("query.runs");
+    pool.flush_counters();
+    if constexpr (obs::kTelemetryEnabled) sample_gauges(pool);
   }
 
- private:
+  /// The status of the exception in flight (call from a catch block):
+  /// a damaged block is DATA_LOSS, anything else aborts the request
+  /// (CANCELLED "task aborted"). `failure`, when given, keeps it for
+  /// the throwing surfaces to rethrow.
+  reliability::Status exception_status(FirstFailure* failure) {
+    if (failure != nullptr) failure->note_exception();
+    try {
+      throw;
+    } catch (const reliability::DataLossError& e) {
+      // An out-of-core graph hit a corrupt/unreadable block mid-scan:
+      // the stored data is damaged, not the request.
+      CG_COUNTER_INC("reliability.requests.data_loss");
+      return reliability::data_loss(e.what());
+    } catch (const std::exception& e) {
+      note_abort();
+      return reliability::cancelled(std::string("task aborted: ") + e.what());
+    } catch (...) {
+      note_abort();
+      return reliability::cancelled("task aborted: unknown exception");
+    }
+  }
+
+  /// The throwing surfaces' validation: validate_status as a
+  /// PreconditionError.
   void validate(const Request<W>& req) const {
-    std::visit(
-        [this](const auto& r) {
-          using R = std::decay_t<decltype(r)>;
-          if constexpr (requires { r.source; }) {
-            CG_CHECK(r.source >= 0 && r.source < n_, "query source out of range");
-          }
-          if constexpr (std::is_same_v<R, PointToPoint>) {
-            CG_CHECK(r.target >= 0 && r.target < n_, "query target out of range");
-          } else if constexpr (std::is_same_v<R, KNearest>) {
-            CG_CHECK(r.k >= 1, "k_nearest needs k >= 1");
-          } else if constexpr (std::is_same_v<R, Bounded<W>>) {
-            CG_CHECK(r.radius >= W{0}, "bounded query needs a non-negative radius");
-          } else if constexpr (std::is_same_v<R, PageRank>) {
-            CG_CHECK(r.damping > 0.0 && r.damping < 1.0, "pagerank damping must be in (0, 1)");
-            CG_CHECK(r.max_iters >= 1, "pagerank needs max_iters >= 1");
-            CG_CHECK(r.tol >= 0.0, "pagerank tol must be non-negative");
-            CG_CHECK(r.out.size() == static_cast<std::size_t>(n_),
-                     "pagerank out span must have num_vertices entries");
-          } else if constexpr (std::is_same_v<R, Wcc>) {
-            CG_CHECK(r.out.size() == static_cast<std::size_t>(n_),
-                     "wcc out span must have num_vertices entries");
-          } else if constexpr (std::is_same_v<R, BfsFromSet>) {
-            CG_CHECK(r.out.size() == static_cast<std::size_t>(n_),
-                     "bfs_from_set out span must have num_vertices entries");
-            for (const vertex_t src : r.sources) {
-              CG_CHECK(src >= 0 && src < n_, "bfs_from_set source out of range");
-            }
-          } else if constexpr (std::is_same_v<R, MultiTarget>) {
-            CG_CHECK(!r.targets.empty(), "multi_target needs at least one target");
-            for (const vertex_t t : r.targets) {
-              CG_CHECK(t >= 0 && t < n_, "multi_target target out of range");
-            }
-          }
-        },
-        req);
+    if (auto st = validate_status(req); !st.is_ok()) throw PreconditionError(st.message());
   }
 
-  /// The same rules as validate(), as a value: a malformed request is
-  /// production traffic on the hardened surface, not a programmer
-  /// error.
+  /// k_nearest / within: the settled region, nearest first.
+  [[nodiscard]] std::vector<NearItem> near_items(const Request<W>& req) {
+    std::vector<NearItem> out;
+    serve(req, [&](const Response&, const Scratch& sc) {
+      out.reserve(sc.settled_order().size());
+      for (const vertex_t v : sc.settled_order()) {
+        out.push_back(NearItem{v, sc.dist()[static_cast<std::size_t>(v)]});
+      }
+    });
+    return out;
+  }
+
+  /// The one validator: a malformed request is production traffic on
+  /// the status surfaces, not a programmer error.
   [[nodiscard]] reliability::Status validate_status(const Request<W>& req) const {
     return std::visit(
         [this](const auto& r) -> reliability::Status {
@@ -733,13 +684,9 @@ class QueryEngine {
         req);
   }
 
-  /// Submitting-thread gate for one batched request: validation, batch
-  /// cancel/deadline, then admission. OK means "spawn it".
-  reliability::Status preflight(const Request<W>& req, const ServeOptions& opts,
-                                const Admission& adm, parallel::TaskPool& pool,
-                                std::atomic<std::size_t>& in_flight,
-                                std::vector<std::size_t>& active, std::mutex& active_mu,
-                                std::vector<std::unique_ptr<reliability::CancelToken>>& tokens) {
+  /// Submitting-thread checks for one batched request: validation,
+  /// then the batch cancel/deadline. OK means "go to admission".
+  reliability::Status preflight(const Request<W>& req, const ServeOptions& opts) {
     auto st = validate_status(req);
     if (!st.is_ok()) {
       CG_COUNTER_INC("reliability.requests.invalid");
@@ -752,61 +699,6 @@ class QueryEngine {
     if (opts.deadline.expired()) {
       CG_COUNTER_INC("reliability.requests.deadline_exceeded");
       return reliability::deadline_exceeded("batch budget spent before start");
-    }
-    if (adm.max_in_flight == 0 ||
-        in_flight.load(std::memory_order_acquire) < adm.max_in_flight) {
-      return {};
-    }
-    switch (adm.policy) {
-      case OverloadPolicy::kReject:
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        CG_COUNTER_INC("reliability.admission.rejected");
-        return reliability::overloaded("admission: " + std::to_string(adm.max_in_flight) +
-                                       " requests already in flight");
-      case OverloadPolicy::kShed: {
-        // Oldest not-yet-shed victim: scanning past already-cancelled
-        // entries keeps the ladder moving — each overflow admission
-        // kills one distinct older request (newest wins).
-        const std::lock_guard<std::mutex> lock(active_mu);
-        for (const std::size_t victim : active) {
-          if (!tokens[victim]->cancelled()) {
-            tokens[victim]->cancel();  // resolves CANCELLED at its next poll
-            shed_.fetch_add(1, std::memory_order_relaxed);
-            CG_COUNTER_INC("reliability.admission.shed");
-            break;
-          }
-        }
-        return {};  // admit over the cap; the victim's slot frees shortly
-      }
-      case OverloadPolicy::kBlock: {
-        blocked_.fetch_add(1, std::memory_order_relaxed);
-        CG_COUNTER_INC("reliability.admission.blocked");
-        const auto enter = std::chrono::steady_clock::now();
-        while (in_flight.load(std::memory_order_acquire) >= adm.max_in_flight) {
-          if (opts.cancel != nullptr && opts.cancel->cancelled()) {
-            CG_COUNTER_INC("reliability.requests.cancelled");
-            return reliability::cancelled("batch cancelled while blocked on admission");
-          }
-          if (opts.deadline.expired()) {
-            CG_COUNTER_INC("reliability.requests.deadline_exceeded");
-            return reliability::deadline_exceeded("batch budget spent while blocked on admission");
-          }
-          // Deadline-aware blocking: once half the budget has gone to
-          // queueing, the search that would follow is already starved —
-          // shed to OVERLOADED (retryable) instead of blocking on
-          // toward a certain DEADLINE_EXCEEDED (not).
-          if (block_budget_exhausted(enter, opts.deadline, std::chrono::steady_clock::now())) {
-            deadline_rejects_.fetch_add(1, std::memory_order_relaxed);
-            CG_COUNTER_INC("reliability.admission.deadline_rejected");
-            return reliability::overloaded(
-                "admission: half the deadline budget spent blocked");
-          }
-          // Help drain the pool rather than spin — on a 1-thread pool
-          // this is the only way a slot ever frees.
-          if (!pool.help_one()) std::this_thread::yield();
-        }
-        return {};
-      }
     }
     return {};
   }

@@ -1,11 +1,11 @@
 // Token-bucket retry budget: the anti-retry-storm valve.
 //
 // Retrying a failed sub-operation (a portal probe against a sick
-// replica, a hedged read) is only safe while failures are rare: when a
+// replica) is only safe while failures are rare: when a
 // whole shard goes dark, every request wants a second attempt at once
 // and naive retries double the offered load exactly when capacity
 // halved. The budget caps the *global* retry rate the way gRPC does:
-// a bucket holds at most `capacity` tokens, each retry/hedge spends
+// a bucket holds at most `capacity` tokens, each retry spends
 // one, and each *success* earns back a small fraction
 // (`refill_per_success`). In steady state retries are free; in a storm
 // the bucket drains in `capacity` retries and stays empty until real

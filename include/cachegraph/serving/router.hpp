@@ -39,12 +39,12 @@
 // ## Tenants
 //
 // add_tenant() registers a quota: max in-flight requests and an
-// OverloadPolicy. kReject resolves OVERLOADED immediately; kShed
-// cancels the tenant's own oldest in-flight request (newest wins,
-// blast radius confined to the offender); kBlock waits for a slot —
-// but sheds to OVERLOADED once half the request's deadline budget has
-// been spent queueing (block_budget_exhausted — the same rule the
-// QueryEngine admission gate applies).
+// OverloadPolicy, enforced by the tenant's own query::AdmissionGate
+// (admission.hpp — the same ladder QueryEngine::try_run uses). kReject
+// resolves OVERLOADED immediately; kShed cancels the tenant's own
+// oldest in-flight request (newest wins, blast radius confined to the
+// offender); kBlock waits for a slot — but sheds to OVERLOADED once
+// half the request's deadline budget has been spent queueing.
 //
 // ## Replication (cfg.replicas > 1)
 //
@@ -55,11 +55,7 @@
 // *within the request's remaining deadline*, each failover charged to
 // a token-bucket RetryBudget so a sick shard cannot double the fleet's
 // offered load (retry.hpp's storm argument, applied to replicas).
-// `cfg.hedge` additionally hedges probe rows: the primary runs on a
-// helper thread, and if it hasn't answered within the probe-latency
-// histogram's p99 (cfg.hedge_delay until enough samples), a budgeted
-// second attempt races it on a sibling — first success wins, the loser
-// is cancelled through its own child CancelToken.
+// Failover is the router's only retry mechanism.
 //
 // Degraded mode: a shard whose replicas are all quarantined is pruned
 // like a dead end; requests whose answer would then be uncertain (the
@@ -74,15 +70,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -132,10 +126,7 @@ class Router {
     // Replication + failure-domain hardening (see header).
     std::uint32_t replicas = 1;                 ///< replicas per shard
     HealthConfig health{};                      ///< per-replica circuit breaker
-    reliability::RetryBudget::Config retry_budget{};  ///< failover/hedge token bucket
-    bool hedge = false;                         ///< hedge probe rows to a sibling
-    std::chrono::microseconds hedge_delay{500}; ///< until the histogram has samples
-    std::uint32_t hedge_min_samples = 32;       ///< probes before p99-derived delay
+    reliability::RetryBudget::Config retry_budget{};  ///< failover token bucket
     std::uint64_t health_seed = 0x5eedULL;      ///< probation-jitter determinism
   };
 
@@ -158,10 +149,7 @@ class Router {
     TreePtr tree;
   };
 
-  struct TenantQuota {
-    std::size_t max_in_flight = 0;  ///< 0 = unbounded
-    query::OverloadPolicy policy = query::OverloadPolicy::kBlock;
-  };
+  using TenantQuota = query::AdmissionConfig;
 
   struct TenantStats {
     std::uint64_t requests = 0;
@@ -178,8 +166,6 @@ class Router {
     std::uint64_t portal_probes = 0;     ///< uncached MultiTarget rows computed
     std::uint64_t portal_tree_hits = 0;  ///< rows served from shard ResultCaches
     std::uint64_t failovers = 0;         ///< attempts retried on a sibling replica
-    std::uint64_t hedges = 0;            ///< secondary probes launched
-    std::uint64_t hedge_wins = 0;        ///< hedges that beat a failed primary
     std::uint64_t unavailable = 0;       ///< requests failed fast on a dead shard
     std::uint64_t quarantines = 0;       ///< replica quarantine transitions (all sets)
     std::uint64_t recoveries = 0;        ///< probe recoveries (all sets)
@@ -247,8 +233,6 @@ class Router {
              portal_probes_.load(std::memory_order_relaxed),
              portal_tree_hits_.load(std::memory_order_relaxed),
              failovers_.load(std::memory_order_relaxed),
-             hedges_.load(std::memory_order_relaxed),
-             hedge_wins_.load(std::memory_order_relaxed),
              unavailable_.load(std::memory_order_relaxed),
              0,
              0};
@@ -264,23 +248,33 @@ class Router {
 
   /// Registers a tenant; the returned id is the `tenant` argument of
   /// try_serve. Configuration call — make it before traffic.
-  std::uint32_t add_tenant(std::string name, TenantQuota quota) {
-    tenants_.push_back(std::make_unique<TenantState>());
-    tenants_.back()->name = std::move(name);
-    tenants_.back()->quota = quota;
-    return static_cast<std::uint32_t>(tenants_.size() - 1);
+  std::uint32_t add_tenant(const std::string& name, TenantQuota quota) {
+    const auto id = static_cast<std::uint32_t>(tenants_.size());
+    auto ts = std::make_unique<TenantState>(quota, "tenant '" + name + "'");
+    if constexpr (obs::kTelemetryEnabled) {
+      // serving.latency_ns.t<id>.<kind>, resolved once per kind.
+      const std::string prefix = "serving.latency_ns.t" + std::to_string(id) + ".";
+      [&]<std::size_t... K>(std::index_sequence<K...>) {
+        ((ts->latency[K] = &obs::MetricsRegistry::instance().histogram(
+              prefix + query::kind_of(query::Request<W>(std::in_place_index<K>)))),
+         ...);
+      }(std::make_index_sequence<kNumKinds>{});
+    }
+    tenants_.push_back(std::move(ts));
+    return id;
   }
 
   [[nodiscard]] std::size_t num_tenants() const noexcept { return tenants_.size(); }
 
   [[nodiscard]] TenantStats tenant_stats(std::uint32_t tenant) const {
     const TenantState& ts = *tenants_[tenant];
+    const auto g = ts.gate.stats();
     return TenantStats{ts.requests.load(std::memory_order_relaxed),
                        ts.ok.load(std::memory_order_relaxed),
-                       ts.overloaded.load(std::memory_order_relaxed),
-                       ts.blocked.load(std::memory_order_relaxed),
-                       ts.shed_victims.load(std::memory_order_relaxed),
-                       ts.deadline_rejects.load(std::memory_order_relaxed)};
+                       g.rejected + g.deadline_rejects,
+                       g.blocked,
+                       g.shed,
+                       g.deadline_rejects};
   }
 
   // ------------------------------------------------------------ serving
@@ -299,25 +293,16 @@ class Router {
     TenantState& ts = *tenants_[tenant];
     ts.requests.fetch_add(1, std::memory_order_relaxed);
     CG_COUNTER_INC("serving.requests");
-    out.status = admit(ts, opts);
+    reliability::CancelToken token(opts.cancel);  // what kShed cancels
+    out.status = ts.gate.enter(token, opts.cancel, opts.deadline, [] { std::this_thread::yield(); });
     if (!out.status.is_ok()) {
       note_latency(ts, req, t0);
       return out;
     }
-    ts.in_flight.fetch_add(1, std::memory_order_acq_rel);
-    reliability::CancelToken token(opts.cancel);
-    {
-      const std::lock_guard<std::mutex> lock(ts.mu);
-      ts.active.push_back(&token);
-    }
     CallOptions inner = opts;
     inner.cancel = &token;
     out = dispatch(req, inner);
-    {
-      const std::lock_guard<std::mutex> lock(ts.mu);
-      ts.active.erase(std::find(ts.active.begin(), ts.active.end(), &token));
-    }
-    ts.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+    ts.gate.leave(token);
     if (out.status.is_ok()) ts.ok.fetch_add(1, std::memory_order_relaxed);
     note_latency(ts, req, t0);
     return out;
@@ -479,36 +464,13 @@ class Router {
   /// order, exactly as in the single-engine surface).
   reliability::Status k_nearest(vertex_t source, vertex_t k, std::vector<NearItem>& out,
                                 const CallOptions& opts = {}) {
-    out.clear();
-    if (auto st = whole_graph_guard(); !st.is_ok()) return st;
-    typename StitchedEngine::ServeOptions so = to_serve_options(opts);
-    const auto resp = stitched_->try_serve(
-        query::Request<W>{query::KNearest{source, k}}, so, [&](const auto& r, const auto& sc) {
-          if (!r.status.is_ok()) return;
-          out.reserve(sc.settled_order().size());
-          for (const vertex_t v : sc.settled_order()) {
-            out.push_back(NearItem{v, sc.dist()[static_cast<std::size_t>(v)]});
-          }
-        });
-    return resp.status;
+    return near_items(query::Request<W>{query::KNearest{source, k}}, out, opts);
   }
 
   /// Every vertex within `radius`, nearest first (same contract).
   reliability::Status within(vertex_t source, W radius, std::vector<NearItem>& out,
                              const CallOptions& opts = {}) {
-    out.clear();
-    if (auto st = whole_graph_guard(); !st.is_ok()) return st;
-    typename StitchedEngine::ServeOptions so = to_serve_options(opts);
-    const auto resp = stitched_->try_serve(
-        query::Request<W>{query::Bounded<W>{source, radius}}, so,
-        [&](const auto& r, const auto& sc) {
-          if (!r.status.is_ok()) return;
-          out.reserve(sc.settled_order().size());
-          for (const vertex_t v : sc.settled_order()) {
-            out.push_back(NearItem{v, sc.dist()[static_cast<std::size_t>(v)]});
-          }
-        });
-    return resp.status;
+    return near_items(query::Request<W>{query::Bounded<W>{source, radius}}, out, opts);
   }
 
   // --------------------------------------------------------- mutations
@@ -533,18 +495,17 @@ class Router {
   }
 
  private:
+  static constexpr std::size_t kNumKinds = std::variant_size_v<query::Request<W>>;
+
   struct TenantState {
-    std::string name;
-    TenantQuota quota;
-    std::atomic<std::size_t> in_flight{0};
-    std::mutex mu;
-    std::vector<reliability::CancelToken*> active;  ///< admission order
+    TenantState(TenantQuota quota, std::string name) : gate(quota, std::move(name)) {}
+
+    query::AdmissionGate gate;  ///< quota, victims, and admission tallies
     std::atomic<std::uint64_t> requests{0};
     std::atomic<std::uint64_t> ok{0};
-    std::atomic<std::uint64_t> overloaded{0};
-    std::atomic<std::uint64_t> blocked{0};
-    std::atomic<std::uint64_t> shed_victims{0};
-    std::atomic<std::uint64_t> deadline_rejects{0};
+    /// Per-kind latency histograms by variant index (null when
+    /// telemetry is compiled out).
+    std::array<obs::LatencyHistogram*, kNumKinds> latency{};
   };
 
   /// Lazy-heap Dijkstra state over portal nodes, leased per request
@@ -641,19 +602,9 @@ class Router {
     }
   }
 
-  /// Hedge delay: the probe-latency p99 once the histogram has enough
-  /// samples, the configured fallback before that.
-  [[nodiscard]] std::chrono::steady_clock::duration hedge_delay() const {
-    const auto snap = probe_hist_.snapshot();
-    if (snap.count >= cfg_.hedge_min_samples) {
-      return std::chrono::nanoseconds(snap.percentile(99.0));
-    }
-    return cfg_.hedge_delay;
-  }
-
   /// Settle portal node x at distance dx: compute its shard-local
-  /// distance row on a healthy replica (failing over / hedging per
-  /// config) and relax every cut edge (and the in-shard target).
+  /// distance row on a healthy replica (failing over under the retry
+  /// budget) and relax every cut edge (and the in-shard target).
   [[nodiscard]] reliability::Status expand_portal(vertex_t x, W dx, vertex_t source,
                                                   vertex_t target, const CallOptions& opts,
                                                   PortalScratch& ps) {
@@ -716,9 +667,9 @@ class Router {
         }
       } else {
         // The source is query-private; probe it with a bounded
-        // MultiTarget (optionally hedged). probe_attempt reports every
-        // participating replica itself.
-        st = probe_attempt(rs, *pick, tried, lx, lt, target_here, exits, opts, ps);
+        // MultiTarget.
+        st = probe_attempt(rs.replica(pick->index), lx, lt, target_here, exits, opts, ps);
+        report_attempt(rs, pick->index, pick->probe, st, opts);
         if (st.is_ok()) {
           retry_budget_.on_success();
           relax_row([&](vertex_t lv) {
@@ -741,12 +692,10 @@ class Router {
     }
   }
 
-  /// One probe attempt against `pick`, hedged to a sibling when
-  /// configured. On OK, ps.dists_buf holds the winning row. Health
-  /// reporting for every participating replica happens here.
-  [[nodiscard]] reliability::Status probe_attempt(SetT& rs, const typename SetT::Pick& pick,
-                                                  std::uint32_t& tried, vertex_t lx,
-                                                  vertex_t lt, bool target_here,
+  /// One probe attempt on `sh`: on OK, ps.dists_buf holds the row
+  /// (exit-aligned, the in-shard target at the back).
+  [[nodiscard]] reliability::Status probe_attempt(ShardT& sh, vertex_t lx, vertex_t lt,
+                                                  bool target_here,
                                                   std::span<const vertex_t> exits,
                                                   const CallOptions& opts, PortalScratch& ps) {
     ps.targets_buf.assign(exits.begin(), exits.end());
@@ -754,103 +703,7 @@ class Router {
     ps.dists_buf.assign(ps.targets_buf.size(), inf<W>());
     portal_probes_.fetch_add(1, std::memory_order_relaxed);
     CG_COUNTER_INC("serving.portal.probes");
-
-    // Hedge only from a regular pick (never spend a half-open probe
-    // ticket on a race) and only when a second replica is available.
-    std::optional<typename SetT::Pick> second;
-    if (cfg_.hedge && !pick.probe && rs.size() > 1) {
-      second = rs.pick(tried | (1u << pick.index), std::chrono::steady_clock::now());
-      if (second && second->probe) {
-        rs.health(second->index).abandon_probe();
-        second.reset();
-      }
-    }
-    if (!second) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto st = rs.replica(pick.index).local_dists(lx, ps.targets_buf, opts, ps.dists_buf);
-      probe_hist_.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                               t0)
-              .count()));
-      report_attempt(rs, pick.index, pick.probe, st, opts);
-      return st;
-    }
-    return hedged_probe(rs, pick, *second, tried, lx, opts, ps);
-  }
-
-  /// The hedged race: primary runs on a helper thread; if it has not
-  /// answered within hedge_delay(), a budgeted secondary races it on
-  /// the caller thread. First success wins; the loser is cancelled
-  /// through its own child token (parented on the request token, so a
-  /// client cancel still stops both legs).
-  [[nodiscard]] reliability::Status hedged_probe(SetT& rs, const typename SetT::Pick& primary,
-                                                 const typename SetT::Pick& second,
-                                                 std::uint32_t& tried, vertex_t lx,
-                                                 const CallOptions& opts, PortalScratch& ps) {
-    reliability::CancelToken ptok(opts.cancel);
-    reliability::CancelToken stok(opts.cancel);
-    std::vector<W> prow(ps.dists_buf.size(), inf<W>());
-    reliability::Status pst;
-    std::mutex m;
-    std::condition_variable cv;
-    bool pdone = false;
-    std::thread pt([&] {
-      CallOptions po = opts;
-      po.cancel = &ptok;
-      const auto t0 = std::chrono::steady_clock::now();
-      auto st = rs.replica(primary.index).local_dists(lx, ps.targets_buf, po, prow);
-      probe_hist_.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                               t0)
-              .count()));
-      if (st.is_ok()) stok.cancel();  // beat the hedge: cancel it
-      {
-        const std::lock_guard<std::mutex> lk(m);
-        pst = std::move(st);
-        pdone = true;
-      }
-      cv.notify_all();
-    });
-    bool launch;
-    {
-      std::unique_lock<std::mutex> lk(m);
-      launch = !cv.wait_for(lk, hedge_delay(), [&] { return pdone; });
-    }
-    reliability::Status sst;
-    bool sran = false;
-    if (launch && retry_budget_.try_acquire()) {
-      hedges_.fetch_add(1, std::memory_order_relaxed);
-      CG_COUNTER_INC("serving.hedges");
-      tried |= 1u << second.index;
-      CallOptions so = opts;
-      so.cancel = &stok;
-      sst = rs.replica(second.index).local_dists(lx, ps.targets_buf, so, ps.dists_buf);
-      sran = true;
-      if (sst.is_ok()) ptok.cancel();  // won the race: cancel the primary
-    }
-    pt.join();
-    if (sran) {
-      // A loser cancelled *by the race* indicts nobody.
-      const bool s_loser = pst.is_ok() && sst.code() == reliability::StatusCode::kCancelled;
-      rs.report(second.index, sst.code(), false,
-                s_loser || client_resolution(sst, opts), std::chrono::steady_clock::now());
-    }
-    const bool p_loser =
-        sran && sst.is_ok() && pst.code() == reliability::StatusCode::kCancelled;
-    rs.report(primary.index, pst.code(), primary.probe,
-              p_loser || client_resolution(pst, opts), std::chrono::steady_clock::now());
-    if (sran && sst.is_ok()) {
-      if (!pst.is_ok()) {
-        hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-        CG_COUNTER_INC("serving.hedge_wins");
-      }
-      return {};  // ps.dists_buf already holds the secondary's row
-    }
-    if (pst.is_ok()) {
-      std::copy(prow.begin(), prow.end(), ps.dists_buf.begin());
-      return {};
-    }
-    return pst;  // both legs failed; the primary's status is as good as any
+    return sh.local_dists(lx, ps.targets_buf, opts, ps.dists_buf);
   }
 
   /// Whole-graph kinds (stitched serves, coalesced trees) need every
@@ -885,6 +738,23 @@ class Router {
     return out;
   }
 
+  /// k_nearest / within: the stitched search's settled region,
+  /// nearest first.
+  reliability::Status near_items(const query::Request<W>& req, std::vector<NearItem>& out,
+                                 const CallOptions& opts) {
+    out.clear();
+    if (auto st = whole_graph_guard(); !st.is_ok()) return st;
+    const auto resp =
+        stitched_->try_serve(req, to_serve_options(opts), [&](const auto& r, const auto& sc) {
+          if (!r.status.is_ok()) return;
+          out.reserve(sc.settled_order().size());
+          for (const vertex_t v : sc.settled_order()) {
+            out.push_back(NearItem{v, sc.dist()[static_cast<std::size_t>(v)]});
+          }
+        });
+    return resp.status;
+  }
+
   [[nodiscard]] typename StitchedEngine::ServeOptions to_serve_options(
       const CallOptions& opts) const {
     typename StitchedEngine::ServeOptions so;
@@ -894,82 +764,19 @@ class Router {
     return so;
   }
 
-  /// The per-tenant admission gate (mirrors QueryEngine::preflight's
-  /// policy semantics, scoped to one tenant's quota).
-  [[nodiscard]] reliability::Status admit(TenantState& ts, const CallOptions& opts) {
-    const TenantQuota q = ts.quota;
-    if (q.max_in_flight == 0 ||
-        ts.in_flight.load(std::memory_order_acquire) < q.max_in_flight) {
-      return {};
-    }
-    switch (q.policy) {
-      case query::OverloadPolicy::kReject:
-        ts.overloaded.fetch_add(1, std::memory_order_relaxed);
-        CG_COUNTER_INC("serving.tenant.rejected");
-        return reliability::overloaded("tenant '" + ts.name + "' quota: " +
-                                       std::to_string(q.max_in_flight) + " in flight");
-      case query::OverloadPolicy::kShed: {
-        const std::lock_guard<std::mutex> lock(ts.mu);
-        for (reliability::CancelToken* victim : ts.active) {
-          if (!victim->cancelled()) {
-            victim->cancel();
-            ts.shed_victims.fetch_add(1, std::memory_order_relaxed);
-            CG_COUNTER_INC("serving.tenant.shed");
-            break;
-          }
-        }
-        return {};  // admit over the cap; the victim resolves shortly
-      }
-      case query::OverloadPolicy::kBlock: {
-        ts.blocked.fetch_add(1, std::memory_order_relaxed);
-        CG_COUNTER_INC("serving.tenant.blocked");
-        const auto enter = std::chrono::steady_clock::now();
-        while (ts.in_flight.load(std::memory_order_acquire) >= q.max_in_flight) {
-          if (opts.cancel != nullptr && opts.cancel->cancelled()) {
-            return reliability::cancelled("cancelled while blocked on tenant quota");
-          }
-          if (opts.deadline.expired()) {
-            return reliability::deadline_exceeded(
-                "deadline spent while blocked on tenant quota");
-          }
-          if (query::block_budget_exhausted(enter, opts.deadline,
-                                            std::chrono::steady_clock::now())) {
-            ts.deadline_rejects.fetch_add(1, std::memory_order_relaxed);
-            ts.overloaded.fetch_add(1, std::memory_order_relaxed);
-            CG_COUNTER_INC("serving.tenant.deadline_rejected");
-            return reliability::overloaded("tenant '" + ts.name +
-                                           "' quota: half the deadline budget spent blocked");
-          }
-          std::this_thread::yield();
-        }
-        return {};
-      }
-    }
-    return {};
-  }
-
   /// Per-tenant-per-kind latency histogram
   /// (serving.latency_ns.t<id>.<kind>). Compiled out when
   /// CACHEGRAPH_INSTRUMENT is off — the traffic driver keeps its own
   /// always-on histograms for the bench surface.
-  void note_latency([[maybe_unused]] TenantState& ts, [[maybe_unused]] const query::Request<W>& req,
-                    [[maybe_unused]] std::chrono::steady_clock::time_point t0) {
+  static void note_latency([[maybe_unused]] TenantState& ts,
+                           [[maybe_unused]] const query::Request<W>& req,
+                           [[maybe_unused]] std::chrono::steady_clock::time_point t0) {
     if constexpr (obs::kTelemetryEnabled) {
       const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-      auto& hist = obs::MetricsRegistry::instance().histogram(
-          "serving.latency_ns.t" + std::to_string(tenant_index_of(ts)) + "." +
-          query::kind_of(req));
-      hist.record(ns <= 0 ? 0 : static_cast<std::uint64_t>(ns));
+      ts.latency[req.index()]->record(ns <= 0 ? 0 : static_cast<std::uint64_t>(ns));
     }
-  }
-
-  [[nodiscard]] std::size_t tenant_index_of(const TenantState& ts) const noexcept {
-    for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      if (tenants_[i].get() == &ts) return i;
-    }
-    return 0;
   }
 
   Config cfg_;
@@ -981,18 +788,11 @@ class Router {
   parallel::LeasePool<PortalScratch> portal_pool_;
   std::vector<std::unique_ptr<TenantState>> tenants_;
   reliability::RetryBudget retry_budget_;
-  /// Probe latency samples feeding the p99 hedge delay. Always-on (a
-  /// plain member, not a registry histogram) so hedging works — and
-  /// the uninstrumented build's "no registry samples" invariant holds
-  /// — with CACHEGRAPH_INSTRUMENT off.
-  obs::LatencyHistogram probe_hist_;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> portal_pops_{0};
   std::atomic<std::uint64_t> portal_probes_{0};
   std::atomic<std::uint64_t> portal_tree_hits_{0};
   std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> hedges_{0};
-  std::atomic<std::uint64_t> hedge_wins_{0};
   std::atomic<std::uint64_t> unavailable_{0};
 };
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <numeric>
@@ -934,6 +935,65 @@ TEST(QueryStatus, AdmissionShedCancelsTheOldestVictim) {
   EXPECT_EQ(ok + cancelled_n, 8);
   EXPECT_GE(engine.stats().shed, 1u) << "oversubscription must have shed someone";
   EXPECT_GE(cancelled_n, 1);
+}
+
+// A rep that counts concurrent scans of vertex 0, holding each one
+// open briefly — every FullSSSP{0} search scans it once, so the peak
+// bounds how many requests were admitted at once from below.
+namespace {
+struct ConcurrencyProbeRep {
+  using weight_type = int;
+  const AdjacencyArray<int>* inner;
+  std::atomic<int>* open;
+  std::atomic<int>* peak;
+  [[nodiscard]] vertex_t num_vertices() const { return inner->num_vertices(); }
+  [[nodiscard]] index_t num_edges() const { return inner->num_edges(); }
+  template <class Mem, class Fn>
+  void for_neighbors(vertex_t u, Mem& mem, Fn&& fn) const {
+    if (u == 0) {
+      const int now = open->fetch_add(1) + 1;
+      int seen = peak->load();
+      while (now > seen && !peak->compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      open->fetch_sub(1);
+    }
+    inner->for_neighbors(u, mem, std::forward<Fn>(fn));
+  }
+  template <class Mem>
+  void map_buffers(Mem& mem) const {
+    inner->map_buffers(mem);
+  }
+  [[nodiscard]] std::size_t footprint_bytes() const { return inner->footprint_bytes(); }
+};
+}  // namespace
+
+TEST(QueryStatus, AdmissionCapHoldsPerBatchOnAWidePool) {
+  const auto el = random_digraph<int>(200, 0.05, 29);
+  const AdjacencyArray<int> base(el);
+  std::atomic<int> open{0}, peak{0};
+  const ConcurrencyProbeRep rep{&base, &open, &peak};
+  QueryEngine<ConcurrencyProbeRep> engine(rep);
+  parallel::TaskPool pool(4);
+  const std::vector<Request<int>> reqs(16, Request<int>{FullSSSP{0}});
+  for (const auto policy : {OverloadPolicy::kBlock, OverloadPolicy::kReject}) {
+    engine.set_admission({.max_in_flight = 2, .policy = policy});
+    peak.store(0);
+    const auto out = engine.try_run(reqs, pool);
+    int ok = 0;
+    for (const auto& r : out) {
+      ASSERT_TRUE(r.status.is_ok() || r.status.code() == StatusCode::kOverloaded)
+          << r.status.to_string();
+      ok += r.status.is_ok() ? 1 : 0;
+    }
+    EXPECT_LE(peak.load(), 2) << "policy " << to_string(policy);
+    EXPECT_GE(ok, 2) << "policy " << to_string(policy);
+    if (policy == OverloadPolicy::kBlock) {
+      EXPECT_EQ(ok, 16) << "kBlock waits, it never refuses";
+    }
+  }
+  // Slots return to the gate: the next batch admits from zero again.
+  EXPECT_EQ(engine.try_run(reqs, pool)[0].status.code(), StatusCode::kOk);
 }
 
 TEST(QueryStatus, ScratchExhaustionIsResourceExhaustedAfterRetries) {

@@ -18,9 +18,8 @@
 // synthetic clock, bit-identity across replicas (including the
 // on-disk blocked files), degraded mode (an all-quarantined shard
 // fails the requests that need it, fast, and only those), the retry
-// budget bounding failovers exactly, the scrubber repairing disk
-// corruption from a sibling, and hedged probes agreeing with the
-// oracle.
+// budget bounding failovers exactly, and the scrubber repairing disk
+// corruption from a sibling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -507,6 +506,75 @@ TEST(TenantQuota, BlockPolicyAdmitsOnceTheSlotFrees) {
   EXPECT_EQ(router.tenant_stats(tenant).deadline_rejects, 0u);
 }
 
+/// Races kRaceThreads callers, each issuing distinct-source FullSSSP asks
+/// through one tenant, and returns the peak number of coalesced
+/// computes open at once. Every compute sits in the hook for a few
+/// milliseconds, so admissions that slip past the quota overlap there.
+/// `statuses` collects every resolution.
+constexpr int kRaceThreads = 4;
+constexpr int kRaceRounds = 8;
+
+int peak_concurrent_computes(const Router<int>::TenantQuota& quota,
+                             std::vector<StatusCode>& statuses) {
+  const auto el = graph::random_digraph<int>(64, 0.1, 53, 1, 9);
+  const AdjacencyArray<int> csr(el);
+  Router<int> router(csr, {.shards = 2});
+  const auto tenant = router.add_tenant("capped", quota);
+
+  std::atomic<int> open{0};
+  std::atomic<int> peak{0};
+  router.coalescer().set_compute_hook([&] {
+    const int now = open.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    open.fetch_sub(1);
+  });
+
+  std::atomic<int> ready{0};
+  std::mutex mu;
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kRaceThreads; ++t) {
+    callers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kRaceThreads) std::this_thread::yield();
+      for (int round = 0; round < kRaceRounds; ++round) {
+        const vertex_t source = t + kRaceThreads * round;  // never coalesces
+        const auto r = router.try_serve(tenant, query::Request<int>{query::FullSSSP{source}});
+        const std::lock_guard<std::mutex> lk(mu);
+        statuses.push_back(r.status.code());
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  router.coalescer().set_compute_hook(nullptr);
+  return peak.load();
+}
+
+TEST(TenantQuota, BlockQuotaCapsConcurrentComputesUnderARace) {
+  std::vector<StatusCode> statuses;
+  const int peak = peak_concurrent_computes(
+      {.max_in_flight = 1, .policy = query::OverloadPolicy::kBlock}, statuses);
+  EXPECT_EQ(peak, 1) << "a {1, kBlock} tenant ran computes side by side";
+  ASSERT_EQ(statuses.size(), static_cast<std::size_t>(kRaceThreads * kRaceRounds));
+  for (const auto code : statuses) EXPECT_EQ(code, StatusCode::kOk);
+}
+
+TEST(TenantQuota, RejectQuotaCapsConcurrentComputesUnderARace) {
+  std::vector<StatusCode> statuses;
+  const int peak = peak_concurrent_computes(
+      {.max_in_flight = 1, .policy = query::OverloadPolicy::kReject}, statuses);
+  EXPECT_EQ(peak, 1) << "a {1, kReject} tenant ran computes side by side";
+  ASSERT_EQ(statuses.size(), static_cast<std::size_t>(kRaceThreads * kRaceRounds));
+  int ok = 0;
+  for (const auto code : statuses) {
+    EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kOverloaded);
+    ok += code == StatusCode::kOk ? 1 : 0;
+  }
+  EXPECT_GE(ok, 1);
+}
+
 TEST(TenantQuota, UnknownTenantIsInvalidArgument) {
   const AdjacencyArray<int> csr(EdgeListGraph<int>(4));
   Router<int> router(csr, {});
@@ -678,13 +746,17 @@ TEST(ReplicaBitIdentity, ReplicatedRouterMatchesOracleAcrossShardCounts) {
   const vertex_t n = csr.num_vertices();
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     for (const std::uint32_t replicas : {2u, 3u}) {
-      Router<int> router(csr, {.shards = shards, .replicas = replicas});
-      for (vertex_t s = 0; s < n; s += 5) {
-        const std::vector<int> want = oracle_dists(csr, s);
-        for (vertex_t t = 0; t < n; ++t) {
-          ASSERT_EQ(router.distance(s, t), want[static_cast<std::size_t>(t)])
-              << "shards=" << shards << " replicas=" << replicas;
+      for (const bool cached : {true, false}) {  // uncached: every row is a replica probe
+        Router<int> router(csr,
+                           {.shards = shards, .cache_portals = cached, .replicas = replicas});
+        for (vertex_t s = 0; s < n; s += 5) {
+          const std::vector<int> want = oracle_dists(csr, s);
+          for (vertex_t t = 0; t < n; ++t) {
+            ASSERT_EQ(router.distance(s, t), want[static_cast<std::size_t>(t)])
+                << "shards=" << shards << " replicas=" << replicas << " cached=" << cached;
+          }
         }
+        EXPECT_EQ(router.stats().quarantines, 0u) << "a healthy fleet never trips the breaker";
       }
     }
   }
@@ -903,35 +975,6 @@ TEST(Scrubber, BackgroundThreadPatrolsAtTheConfiguredRate) {
   EXPECT_GT(st.scanned, 0u);
   EXPECT_EQ(st.corrupt, 0u) << "a clean deployment scrubs clean";
   std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------- hedging
-
-TEST(Hedging, HedgedProbesLaunchAndAnswersStayExact) {
-  const auto el = graph::random_digraph<int>(40, 0.12, 71, 1, 9);
-  const AdjacencyArray<int> csr(el);
-  const vertex_t n = csr.num_vertices();
-
-  Router<int>::Config cfg;
-  cfg.shards = 2;
-  cfg.replicas = 2;
-  cfg.cache_portals = false;  // every row is a probe — maximal hedging surface
-  cfg.hedge = true;
-  cfg.hedge_delay = std::chrono::microseconds(0);  // hedge immediately
-  cfg.hedge_min_samples = 1u << 30;                // pin the configured delay
-  cfg.retry_budget.capacity = 10000.0;
-  Router<int> router(csr, cfg);
-
-  for (vertex_t s = 0; s < n; s += 3) {
-    const std::vector<int> want = oracle_dists(csr, s);
-    for (vertex_t t = 0; t < n; ++t) {
-      ASSERT_EQ(router.distance(s, t), want[static_cast<std::size_t>(t)])
-          << "hedged answer diverged at " << s << "→" << t;
-    }
-  }
-  const auto st = router.stats();
-  EXPECT_GT(st.hedges, 0u) << "zero-delay hedging must actually hedge";
-  EXPECT_EQ(st.quarantines, 0u) << "race-loser cancellations must not indict replicas";
 }
 
 }  // namespace

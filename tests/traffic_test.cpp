@@ -173,20 +173,16 @@ TEST(TrafficRun, QuotaPressureSurfacesAsOverloadedNotLostRequests) {
             router.tenant_stats(1).requests - router.tenant_stats(1).ok);
 }
 
-TEST(TrafficRun, ReplicatedRouterWithHedgingResolvesEveryArrival) {
-  // The open-loop driver against the replicated + hedged configuration:
-  // every arrival still resolves exactly once, all of them OK (no
-  // faults are injected here — this pins that replication and hedging
-  // are invisible to a healthy workload), and the percentile
-  // invariants hold row by row.
+TEST(TrafficRun, ReplicatedRouterResolvesEveryArrival) {
+  // The open-loop driver against the replicated configuration: every
+  // arrival still resolves exactly once, all of them OK (no faults are
+  // injected here — this pins that replication is invisible to a
+  // healthy workload), and the percentile invariants hold row by row.
   const auto el = graph::random_digraph<int>(64, 0.08, 55, 1, 9);
   const AdjacencyArray<int> csr(el);
   Router<int>::Config rcfg;
   rcfg.shards = 2;
   rcfg.replicas = 2;
-  rcfg.hedge = true;
-  rcfg.hedge_delay = std::chrono::microseconds(0);  // hedge every probe
-  rcfg.hedge_min_samples = 1u << 30;                // never switch to p99 pacing
   Router<int> router(csr, rcfg);
   const auto cfg = two_tenant_config(8);
   const auto sched = build_schedule(cfg, csr.num_vertices());
